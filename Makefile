@@ -6,8 +6,12 @@ GO ?= go
 
 check: vet build test chaos cover bench-overhead
 
+# vet also fails on unformatted Go files. bench/ is the benchmark's own
+# module with its own gate; .bench_build/ is its build output.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs gofmt -l)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -54,7 +58,7 @@ bench-resil:
 bench-rollout:
 	$(GO) run ./cmd/candleserve -rollout -json BENCH_rollout.json
 
-# Fuzz the blocked tensor kernels against the naive references in
+# Fuzz the tensor GEMM kernels against the naive references in
 # internal/tensor/ref_test.go, and the float32 backend registry against the
 # flat float32 reference (every registered backend per input). Short budgets
 # per target: the seed corpus already pins the block/panel boundaries, so CI

@@ -32,23 +32,23 @@ func benchExperiment(b *testing.B, id string) {
 // One benchmark per experiment — the paper has no numbered tables/figures
 // (keynote abstract), so these are the regeneration targets for the nine
 // claim-reproductions DESIGN.md enumerates.
-func BenchmarkE1Precision(b *testing.B)   { benchExperiment(b, "E1") }
-func BenchmarkE2Roofline(b *testing.B)    { benchExperiment(b, "E2") }
-func BenchmarkE3Scaling(b *testing.B)     { benchExperiment(b, "E3") }
-func BenchmarkE4Hybrid(b *testing.B)      { benchExperiment(b, "E4") }
-func BenchmarkE5Memory(b *testing.B)      { benchExperiment(b, "E5") }
-func BenchmarkE6Fabric(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkE7NVRAM(b *testing.B)       { benchExperiment(b, "E7") }
-func BenchmarkE8Search(b *testing.B)      { benchExperiment(b, "E8") }
-func BenchmarkE9Campaign(b *testing.B)    { benchExperiment(b, "E9") }
-func BenchmarkE10Checkpoint(b *testing.B) { benchExperiment(b, "E10") }
-func BenchmarkE11Serving(b *testing.B)    { benchExperiment(b, "E11") }
-func BenchmarkE12Resilience(b *testing.B) { benchExperiment(b, "E12") }
-func BenchmarkE13Comm(b *testing.B)       { benchExperiment(b, "E13") }
-func BenchmarkE14SLO(b *testing.B)        { benchExperiment(b, "E14") }
-func BenchmarkE15Kernels(b *testing.B)    { benchExperiment(b, "E15") }
-func BenchmarkE16Data(b *testing.B)       { benchExperiment(b, "E16") }
-func BenchmarkE17Rollout(b *testing.B)    { benchExperiment(b, "E17") }
+func BenchmarkE1Precision(b *testing.B)    { benchExperiment(b, "E1") }
+func BenchmarkE2Roofline(b *testing.B)     { benchExperiment(b, "E2") }
+func BenchmarkE3Scaling(b *testing.B)      { benchExperiment(b, "E3") }
+func BenchmarkE4Hybrid(b *testing.B)       { benchExperiment(b, "E4") }
+func BenchmarkE5Memory(b *testing.B)       { benchExperiment(b, "E5") }
+func BenchmarkE6Fabric(b *testing.B)       { benchExperiment(b, "E6") }
+func BenchmarkE7NVRAM(b *testing.B)        { benchExperiment(b, "E7") }
+func BenchmarkE8Search(b *testing.B)       { benchExperiment(b, "E8") }
+func BenchmarkE9Campaign(b *testing.B)     { benchExperiment(b, "E9") }
+func BenchmarkE10Checkpoint(b *testing.B)  { benchExperiment(b, "E10") }
+func BenchmarkE11Serving(b *testing.B)     { benchExperiment(b, "E11") }
+func BenchmarkE12Resilience(b *testing.B)  { benchExperiment(b, "E12") }
+func BenchmarkE13Comm(b *testing.B)        { benchExperiment(b, "E13") }
+func BenchmarkE14SLO(b *testing.B)         { benchExperiment(b, "E14") }
+func BenchmarkE15Kernels(b *testing.B)     { benchExperiment(b, "E15") }
+func BenchmarkE16Data(b *testing.B)        { benchExperiment(b, "E16") }
+func BenchmarkE17Rollout(b *testing.B)     { benchExperiment(b, "E17") }
 func BenchmarkE18SearchScale(b *testing.B) { benchExperiment(b, "E18") }
 
 // benchAblation regenerates one design-choice ablation table per iteration.

@@ -40,7 +40,7 @@ func main() {
 	omOut := flag.String("metrics-out", "", "write suite counters/gauges/histograms in OpenMetrics (Prometheus) text format to this file")
 	traceOut := flag.String("trace", "", "write a chrome://tracing span trace (JSON) to this file")
 	commOut := flag.String("comm", "", "write the deterministic gradient-communication profile (BENCH_comm.json) to this file and exit")
-	kernelsOut := flag.String("kernels", "", "measure the float32 kernel-engine profile (BENCH_kernels.json) on this host, write it to this file, and exit")
+	kernelsOut := flag.String("kernels", "", "measure the GEMM kernel profile (BENCH_kernels.json) on this host, write it to this file, and exit")
 	dataOut := flag.String("data", "", "write the deterministic tiered-staging data-plane profile (BENCH_data.json) to this file and exit")
 	searchOut := flag.String("search", "", "write the deterministic search-at-scale profile (BENCH_search.json) to this file and exit")
 	flag.Parse()
@@ -77,8 +77,8 @@ func main() {
 		// headline invariants rather than byte-comparing a regeneration.
 		rep := experiments.KernelsBench(*quick)
 		writeTo(*kernelsOut, rep.WriteJSON)
-		fmt.Printf("kernels profile: %s (packed f32 %.2fx f64 blocked at %d³, train x%.2f)\n",
-			*kernelsOut, rep.PackedVsF64, rep.HeadlineSize, rep.TrainSpeedupF32)
+		fmt.Printf("kernels profile: %s (packed vs blocked at %d³: f64 %.2fx, f32 %.2fx; ComputeF32 train ratio %.2f)\n",
+			*kernelsOut, rep.HeadlineSize, rep.Headline[0].PackedVsBlocked, rep.Headline[1].PackedVsBlocked, rep.TrainRatioF32)
 		return
 	}
 

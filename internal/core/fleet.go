@@ -114,13 +114,13 @@ type ShardStats struct {
 	Evals int `json:"evals"`
 	// Attempts counts run segments completed here (including segments that
 	// end in a modelled node crash).
-	Attempts    int `json:"attempts"`
-	Dispatches  int `json:"dispatches"`
-	StealsIn    int `json:"steals_in"`
-	StealsOut   int `json:"steals_out"`
-	StolenEvals int `json:"stolen_evals"`
-	Preemptions int `json:"preemptions"`
-	Interrupted int `json:"interrupted"`
+	Attempts    int     `json:"attempts"`
+	Dispatches  int     `json:"dispatches"`
+	StealsIn    int     `json:"steals_in"`
+	StealsOut   int     `json:"steals_out"`
+	StolenEvals int     `json:"stolen_evals"`
+	Preemptions int     `json:"preemptions"`
+	Interrupted int     `json:"interrupted"`
 	BusySeconds float64 `json:"busy_seconds"`
 	Utilization float64 `json:"utilization"`
 }

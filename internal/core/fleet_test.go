@@ -21,8 +21,8 @@ func fleetTenant(name string, seed uint64, configs int) TenantConfig {
 			Configs: configs, Nodes: 1, // Nodes ignored by the fleet
 			MeanEvalTime: 100, EvalTimeSigma: 0.8,
 			DispatchOverhead: 0.05, RestartOverhead: 2,
-			Faults:           &fault.Process{Nodes: 16, MTBF: 400, Horizon: 1e9},
-			MaxRetries:       6, QuarantineAfter: 4,
+			Faults:     &fault.Process{Nodes: 16, MTBF: 400, Horizon: 1e9},
+			MaxRetries: 6, QuarantineAfter: 4,
 			RetryBackoffBase: 1, RetryBackoffJitter: 0.3,
 			PoisonFraction: 0.02,
 			RNG:            rng.New(seed),

@@ -314,15 +314,18 @@ func E13Comm(cfg Config) *trace.Table {
 	}
 
 	// Host runs: 4 goroutine replicas, measured bucket metrics. The net is
-	// deep and wide enough that backward compute per step dwarfs one
-	// bucket's channel allreduce — otherwise there is nothing to hide the
-	// communication behind and the measured overlap collapses to zero.
+	// deep and wide enough, and the per-rank batch (128 rows) large enough,
+	// that backward compute per step dwarfs one bucket's channel allreduce —
+	// otherwise there is nothing to hide the communication behind and the
+	// measured overlap collapses to zero. (At 32 rows per rank it did, once
+	// the packed GEMM halved backward: overlap read 0.00-0.05.)
 	root := rng.New(cfg.Seed).Split("e13")
 	din, classes := 128, 8
-	nSamples := 512
+	const globalBatch = 512
+	nSamples := 4 * globalBatch
 	epochs := 2
 	if cfg.Quick {
-		nSamples, epochs = 256, 1
+		nSamples, epochs = 2*globalBatch, 1
 	}
 	x := tensor.New(nSamples, din)
 	x.FillRandNorm(root.Split("x"), 1)
@@ -345,7 +348,7 @@ func E13Comm(cfg Config) *trace.Table {
 		Algo:         comm.ARTree,
 		Loss:         nn.SoftmaxCELoss{},
 		NewOptimizer: func() nn.Optimizer { return nn.NewSGD(0.05) },
-		GlobalBatch:  128,
+		GlobalBatch:  globalBatch,
 		Epochs:       epochs,
 		Obs:          cfg.Obs,
 	}

@@ -12,25 +12,49 @@ import (
 	"repro/internal/trace"
 )
 
-// E15 measures the float32 kernel engine against the float64 baseline on
-// this host: GFLOP/s for every registered GEMM backend across square sizes
-// and worker counts, plus end-to-end training throughput with the mixed-
-// precision compute path (f32 kernels, f64 master weights) switched on.
+// E15 measures the GEMM kernels on this host: GFLOP/s for the blocked and
+// the packed kernel in both precisions (and the naive float32 reference)
+// across square sizes and worker counts, plus end-to-end training throughput
+// with the mixed-precision compute path (f32 kernels, f64 master weights)
+// switched on and off.
+//
+// What it found: the packed kernel's speedup over the blocked one is the
+// algorithm (panel packing plus a 2x4 register tile), not the precision —
+// pure Go emits scalar SSE at both widths, so packed f32 and packed f64 run
+// within a few percent of each other per core. With float64 training on the
+// packed kernel too, ComputeF32's remaining case is footprint and
+// bandwidth, and its per-step narrow/widen traffic can make it the slower
+// mode on a host whose caches hold the f64 working set; the train ratio is
+// reported, not asserted.
 //
 // Unlike E13's machine-model profile, every number here is a wall-clock
 // measurement, so BENCH_kernels.json cannot be byte-compared against a
 // regeneration. Instead the committed artifact carries its headline shape —
-// packed-f32 at least 2x the f64 blocked GEMM at 512³, training faster with
-// ComputeF32 — and cmd/candlebench's artifact test re-asserts those
-// invariants (and schema currency via remarshal) on the committed numbers.
+// packed at least 1.3x the blocked kernel of the same precision at 512³,
+// one worker — and cmd/candlebench's artifact test re-asserts that (and
+// schema currency via remarshal) on the committed numbers. The floor is not
+// higher because the blocked kernel's speed is bimodal across builds: its
+// seven-instruction inner loop runs 3.1 or 3.5-4.2 GFLOP/s depending on
+// where the linker places it, at either width, so the measured ratio has
+// read anywhere from 1.45x to 1.96x for identical source.
 
-// KernelsGemmRow is one measured GEMM configuration. Backend "f64-blocked"
-// is the float64 baseline; the rest are registered float32 backends.
+// KernelsGemmRow is one measured GEMM configuration: a kernel ("blocked",
+// "packed", or for f32 the "naive" reference) at a precision ("f64", "f32").
 type KernelsGemmRow struct {
-	Backend string  `json:"backend"`
-	Size    int     `json:"size"` // square M = N = K
-	Procs   int     `json:"procs"`
-	GFLOPs  float64 `json:"gflops"`
+	Precision string  `json:"precision"`
+	Backend   string  `json:"backend"`
+	Size      int     `json:"size"` // square M = N = K
+	Procs     int     `json:"procs"`
+	GFLOPs    float64 `json:"gflops"`
+}
+
+// KernelsHeadline compares the two kernels of one precision at the largest
+// measured square size, one worker.
+type KernelsHeadline struct {
+	Precision       string  `json:"precision"`
+	BlockedGF       float64 `json:"blocked_gflops"`
+	PackedGF        float64 `json:"packed_gflops"`
+	PackedVsBlocked float64 `json:"packed_vs_blocked"`
 }
 
 // KernelsTrainRow is one measured training configuration: the same MLP and
@@ -38,21 +62,20 @@ type KernelsGemmRow struct {
 type KernelsTrainRow struct {
 	Mode        string  `json:"mode"` // "f64" or "f32-compute"
 	StepsPerSec float64 `json:"steps_per_sec"`
-	Speedup     float64 `json:"speedup_vs_f64"`
+	Ratio       float64 `json:"ratio_vs_f64"`
 }
 
 // KernelsReport is the committed BENCH_kernels.json document.
 type KernelsReport struct {
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Backends   []string         `json:"backends"`
-	Gemm       []KernelsGemmRow `json:"gemm"`
-	// Headline comparison at the largest measured square size, one worker.
-	HeadlineSize    int               `json:"headline_size"`
-	F64BlockedGF    float64           `json:"f64_blocked_gflops"`
-	PackedF32GF     float64           `json:"packed_f32_gflops"`
-	PackedVsF64     float64           `json:"packed_vs_f64"`
-	Train           []KernelsTrainRow `json:"train"`
-	TrainSpeedupF32 float64           `json:"train_speedup_f32"`
+	GoMaxProcs   int               `json:"gomaxprocs"`
+	Backends     []string          `json:"backends"`
+	Gemm         []KernelsGemmRow  `json:"gemm"`
+	HeadlineSize int               `json:"headline_size"`
+	Headline     []KernelsHeadline `json:"headline"` // f64, then f32
+	Train        []KernelsTrainRow `json:"train"`
+	// TrainRatioF32 is ComputeF32 steps/s over float64 steps/s; above 1
+	// means the f32 compute path trains faster on this host.
+	TrainRatioF32 float64 `json:"train_ratio_f32"`
 }
 
 // WriteJSON writes the report as indented JSON (stable field order).
@@ -156,13 +179,13 @@ func kernelsTrainRate(quick bool, seed uint64, f32 bool) float64 {
 	return best
 }
 
-// KernelsBench measures the kernel-engine profile this host produces. In the
-// full (non-quick) configuration it panics if the committed headline shape
-// is lost outright — packed-f32 no faster than the f64 baseline, or training
-// slower with the fast path — so a kernel regression cannot silently
-// regenerate an artifact that contradicts the engine's reason to exist. The
-// ≥2x margin itself is asserted on the committed numbers by the artifact
-// test, not here, so one noisy generation run cannot fail tier-1.
+// KernelsBench measures the kernel profile this host produces. In the full
+// (non-quick) configuration it panics if the headline shape is lost outright
+// — packed no faster than blocked in either precision — so a kernel
+// regression cannot silently regenerate an artifact that contradicts the
+// packed kernel's reason to exist. The margin itself is asserted on the
+// committed numbers by the artifact test, not here, so one noisy generation
+// run cannot fail tier-1.
 func KernelsBench(quick bool) *KernelsReport {
 	budget := 120 * time.Millisecond
 	if quick {
@@ -171,6 +194,7 @@ func KernelsBench(quick bool) *KernelsReport {
 	rep := &KernelsReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Backends:   tensor.BackendNames(),
+		Headline:   []KernelsHeadline{{Precision: "f64"}, {Precision: "f32"}},
 	}
 	sizes := kernelsSizes(quick)
 	rep.HeadlineSize = sizes[len(sizes)-1]
@@ -192,69 +216,85 @@ func KernelsBench(quick bool) *KernelsReport {
 		a32.FillRandNorm(root.Split("a32"), 1)
 		b32.FillRandNorm(root.Split("b32"), 1)
 
+		type kernel struct {
+			precision, backend string
+			run                func()
+		}
+		kernels := []kernel{
+			{"f64", "blocked", func() { tensor.MatMulBlocked(c64, a64, b64) }},
+			{"f64", "packed", func() { tensor.MatMul(c64, a64, b64) }},
+		}
+		for _, name := range rep.Backends {
+			bk, err := tensor.BackendByName(name)
+			if err != nil {
+				panic(err)
+			}
+			kernels = append(kernels, kernel{"f32", name, func() { bk.MatMulF32(c32, a32, b32) }})
+		}
 		for _, procs := range kernelsProcs() {
 			tensor.MaxProcs = procs
-			gf := measureGFLOPs(func() { tensor.MatMul(c64, a64, b64) }, flops, budget)
-			rep.Gemm = append(rep.Gemm, KernelsGemmRow{
-				Backend: "f64-blocked", Size: size, Procs: procs, GFLOPs: gf})
-			if size == rep.HeadlineSize && procs == 1 {
-				rep.F64BlockedGF = gf
-			}
-			for _, name := range rep.Backends {
-				bk, err := tensor.BackendByName(name)
-				if err != nil {
-					panic(err)
-				}
-				gf := measureGFLOPs(func() { bk.MatMulF32(c32, a32, b32) }, flops, budget)
+			for _, kn := range kernels {
+				gf := measureGFLOPs(kn.run, flops, budget)
 				rep.Gemm = append(rep.Gemm, KernelsGemmRow{
-					Backend: name, Size: size, Procs: procs, GFLOPs: gf})
-				if name == "packed" && size == rep.HeadlineSize && procs == 1 {
-					rep.PackedF32GF = gf
-				}
+					Precision: kn.precision, Backend: kn.backend, Size: size, Procs: procs, GFLOPs: gf})
 			}
 		}
 	}
-	if rep.F64BlockedGF > 0 {
-		rep.PackedVsF64 = rep.PackedF32GF / rep.F64BlockedGF
+	// Headline: the two kernels of each precision at the largest size, one
+	// worker.
+	headlineGF := func(precision, backend string) float64 {
+		for _, r := range rep.Gemm {
+			if r.Precision == precision && r.Backend == backend && r.Size == rep.HeadlineSize && r.Procs == 1 {
+				return r.GFLOPs
+			}
+		}
+		return 0
+	}
+	for i := range rep.Headline {
+		h := &rep.Headline[i]
+		h.BlockedGF, h.PackedGF = headlineGF(h.Precision, "blocked"), headlineGF(h.Precision, "packed")
+		if h.BlockedGF > 0 {
+			h.PackedVsBlocked = h.PackedGF / h.BlockedGF
+		}
 	}
 
-	// Training throughput, serial kernels: the single-core uplift is the
-	// honest per-core number and the one the headline GEMM ratio predicts.
+	// Training throughput, serial kernels: the honest per-core number.
 	tensor.MaxProcs = 1
 	f64Rate := kernelsTrainRate(quick, 7, false)
 	f32Rate := kernelsTrainRate(quick, 7, true)
+	rep.TrainRatioF32 = f32Rate / f64Rate
 	rep.Train = []KernelsTrainRow{
-		{Mode: "f64", StepsPerSec: f64Rate, Speedup: 1},
-		{Mode: "f32-compute", StepsPerSec: f32Rate, Speedup: f32Rate / f64Rate},
+		{Mode: "f64", StepsPerSec: f64Rate, Ratio: 1},
+		{Mode: "f32-compute", StepsPerSec: f32Rate, Ratio: rep.TrainRatioF32},
 	}
-	rep.TrainSpeedupF32 = f32Rate / f64Rate
 
 	if !quick {
-		if rep.PackedF32GF <= rep.F64BlockedGF {
-			panic("experiments: KernelsBench lost its shape: packed f32 GEMM no faster than f64 blocked")
-		}
-		if rep.TrainSpeedupF32 <= 1 {
-			panic("experiments: KernelsBench lost its shape: ComputeF32 training no faster than f64")
+		for _, h := range rep.Headline {
+			if h.PackedGF <= h.BlockedGF {
+				panic("experiments: KernelsBench lost its shape: packed " + h.Precision + " GEMM no faster than blocked")
+			}
 		}
 	}
 	return rep
 }
 
-// E15Kernels renders the kernel-engine profile as an experiment table: one
-// row per measured GEMM configuration and one per training mode.
+// E15Kernels renders the kernel profile as an experiment table: one row per
+// measured GEMM configuration and one per training mode.
 func E15Kernels(cfg Config) *trace.Table {
-	t := trace.NewTable("E15 float32 kernel engine vs float64 baseline",
-		"kind", "backend/mode", "size", "procs", "gflops", "steps/s", "speedup")
+	t := trace.NewTable("E15 GEMM kernels: blocked vs packed, float64 and float32",
+		"kind", "kernel/mode", "size", "procs", "gflops", "steps/s", "ratio")
 	rep := KernelsBench(cfg.Quick)
 	for _, r := range rep.Gemm {
-		t.AddRow("gemm", r.Backend, r.Size, r.Procs, r.GFLOPs, 0.0, 0.0)
+		t.AddRow("gemm", r.Precision+"-"+r.Backend, r.Size, r.Procs, r.GFLOPs, 0.0, 0.0)
 	}
 	for _, r := range rep.Train {
-		t.AddRow("train", r.Mode, 0, 1, 0.0, r.StepsPerSec, r.Speedup)
+		t.AddRow("train", r.Mode, 0, 1, 0.0, r.StepsPerSec, r.Ratio)
 	}
 	if cfg.Obs.Enabled() {
-		cfg.Obs.Emit("e15.packed_vs_f64", rep.PackedVsF64, nil)
-		cfg.Obs.Emit("e15.train_speedup_f32", rep.TrainSpeedupF32, nil)
+		for _, h := range rep.Headline {
+			cfg.Obs.Emit("e15.packed_vs_blocked_"+h.Precision, h.PackedVsBlocked, nil)
+		}
+		cfg.Obs.Emit("e15.train_ratio_f32", rep.TrainRatioF32, nil)
 	}
 	return t
 }

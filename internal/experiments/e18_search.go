@@ -154,10 +154,10 @@ func e18Fleet(seed uint64, nodes int) (core.FleetConfig, error) {
 				// Campaigns bound training by a max epoch count; without
 				// this the makespan is one capped 10x straggler, not the
 				// machine's sustained throughput.
-				MaxEvalTime: 3 * e18MeanEval,
+				MaxEvalTime:      3 * e18MeanEval,
 				DispatchOverhead: 0.05, RestartOverhead: 30,
-				Faults:           &fault.Process{Nodes: 64, MTBF: 1.5e5, Horizon: 1e12},
-				MaxRetries:       5, QuarantineAfter: 3,
+				Faults:     &fault.Process{Nodes: 64, MTBF: 1.5e5, Horizon: 1e12},
+				MaxRetries: 5, QuarantineAfter: 3,
 				RetryBackoffBase: 5, RetryBackoffJitter: 0.3,
 				PoisonFraction: 0.01,
 				RNG:            rng.New(seed),

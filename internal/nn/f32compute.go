@@ -106,9 +106,7 @@ func (d *Dense) backwardF32(dout *tensor.Tensor, n int) *tensor.Tensor {
 	s.dw = ensureF32(s.dw, d.In, d.Out)
 	tensor.MatMulTransAF32(s.dw, s.x, s.dout)
 	lowp.AddTensorFromF32(d.dW, s.dw)
-	db := tensor.New(d.Out)
-	tensor.SumRows(db, dout)
-	tensor.AddScaled(d.dB, db, 1)
+	tensor.AddSumRows(d.dB, dout)
 	s.dx = ensureF32(s.dx, n, d.In)
 	tensor.MatMulTransBF32(s.dx, s.dout, s.w)
 	dx := tensor.New(n, d.In)

@@ -92,13 +92,10 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		return d.backwardF32(dout, n)
 	}
 	x := d.x.Reshape(n, d.In)
-	// dW += xᵀ·dout ; accumulate so replicas can micro-batch.
-	dW := tensor.New(d.In, d.Out)
-	tensor.MatMulTransA(dW, x, dout)
-	tensor.AddScaled(d.dW, dW, 1)
-	db := tensor.New(d.Out)
-	tensor.SumRows(db, dout)
-	tensor.AddScaled(d.dB, db, 1)
+	// dW += xᵀ·dout and dB += Σrows(dout), straight into the accumulators
+	// (accumulate, not overwrite, so replicas can micro-batch).
+	tensor.AddMatMulTransA(d.dW, x, dout)
+	tensor.AddSumRows(d.dB, dout)
 	dx := tensor.New(n, d.In)
 	tensor.MatMulTransB(dx, dout, d.W)
 	return dx

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -431,5 +432,41 @@ func TestEarlyStopCallback(t *testing.T) {
 	}
 	if calls != 5 || len(res.EpochLoss) != 5 {
 		t.Fatalf("early stop ran %d epochs (%d callbacks)", len(res.EpochLoss), calls)
+	}
+}
+
+// backwardBytes returns the bytes one warmed Dense.Backward call allocates
+// for a batch of n through a layer of the given shape.
+func backwardBytes(n, in, out int) uint64 {
+	r := rng.New(5)
+	d := NewDense(in, out, r)
+	x, dout := tensor.New(n, in), tensor.New(n, out)
+	x.FillRandNorm(r, 1)
+	dout.FillRandNorm(r, 1)
+	d.Forward(x, true)
+	d.Backward(dout) // warm the kernel's pack buffers
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		d.Backward(dout)
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / calls
+}
+
+// TestDenseBackwardAllocatesOnlyDX pins that the weight and bias gradients
+// accumulate in place: growing Out 64-fold grows dW by 2 MiB, and the bytes
+// Backward allocates (dX, which does not depend on Out) must not follow it.
+func TestDenseBackwardAllocatesOnlyDX(t *testing.T) {
+	const n, in = 16, 256
+	dx := uint64(n * in * 8)
+	narrow, wide := backwardBytes(n, in, 16), backwardBytes(n, in, 1024)
+	if narrow < dx {
+		t.Fatalf("Backward allocated %d bytes, less than the %d of the dX it returns", narrow, dx)
+	}
+	if limit := narrow + 1<<20; wide > limit {
+		t.Errorf("Backward allocates %d bytes at Out=1024 against %d at Out=16: a temporary scales with In x Out (dW is %d bytes)",
+			wide, narrow, in*1024*8)
 	}
 }

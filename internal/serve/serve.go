@@ -256,14 +256,14 @@ type Server struct {
 	hedgeWG   sync.WaitGroup
 
 	// control plane (see control.go)
-	start          time.Time
-	rollout        atomic.Pointer[Rollout]
-	scaler         *Autoscaler // touched only by the control goroutine
-	ctrlOn         bool        // guarded by mu
-	ctrlStop       chan struct{}
-	ctrlWG         sync.WaitGroup
-	routeMu        sync.Mutex // guards route against concurrent submitters
-	route          *rng.Stream
+	start           time.Time
+	rollout         atomic.Pointer[Rollout]
+	scaler          *Autoscaler // touched only by the control goroutine
+	ctrlOn          bool        // guarded by mu
+	ctrlStop        chan struct{}
+	ctrlWG          sync.WaitGroup
+	routeMu         sync.Mutex // guards route against concurrent submitters
+	route           *rng.Stream
 	nCanaryInflight atomic.Int64
 	nCanaryServed   atomic.Int64
 	nShadowServed   atomic.Int64

@@ -1,9 +1,9 @@
 package tensor
 
-// Steady-state allocation pins for the float32 hot loops. The f32 path
-// exists to cut memory traffic in training's inner loop, so a kernel that
-// allocates per call would silently re-introduce GC pressure; these tests
-// make that a build break, not a profiler finding.
+// Steady-state allocation pins for the GEMM and im2col hot loops, both
+// precisions. A kernel that allocates per call would silently re-introduce
+// GC pressure in training's inner loop; these tests make that a build
+// break, not a profiler finding.
 //
 // MaxProcs is pinned to 1: the parallel paths hand chunks to ParallelFor,
 // whose closure and goroutine bookkeeping allocate by design. The serial
@@ -62,13 +62,32 @@ func TestPackedF32GemmZeroAllocs(t *testing.T) {
 	r := rng.New(41)
 	// Spans two mc row panels and two kc k-panels, so the pooled A and B
 	// pack buffers both reach their steady-state size during the warm call.
-	m, k, n := mcF32+3, kcF32+5, 2*nrF32+1
+	m, k, n := mc+3, kc+5, 2*nr+1
 	a, b := randF32(r, m, k), randF32(r, k, n)
 	at, bt := randF32(r, k, m), randF32(r, n, k)
 	dst := NewF32(m, n)
 	assertZeroAllocs(t, "packed MatMulF32", func() { bk.MatMulF32(dst, a, b) })
 	assertZeroAllocs(t, "packed MatMulTransAF32", func() { bk.MatMulTransAF32(dst, at, b) })
 	assertZeroAllocs(t, "packed MatMulTransBF32", func() { bk.MatMulTransBF32(dst, a, bt) })
+}
+
+// TestGemmF64ZeroAllocs pins the float64 entry points at the first-layer
+// shapes of the benchmark's two training workloads: train_dense (batch 64,
+// 1024 -> 512) and train_dp_stream (per-rank batch 8, 4096 -> 16), forward,
+// weight gradient (plain and accumulate form) and input gradient.
+func TestGemmF64ZeroAllocs(t *testing.T) {
+	pinSerial(t)
+	r := rng.New(43)
+	for _, s := range [][3]int{{64, 1024, 512}, {8, 4096, 16}} {
+		batch, in, out := s[0], s[1], s[2]
+		label := shapeLabel(batch, in, out)
+		x, w, dy := randT(r, batch, in), randT(r, in, out), randT(r, batch, out)
+		y, dw, dx := New(batch, out), New(in, out), New(batch, in)
+		assertZeroAllocs(t, "MatMul "+label, func() { MatMul(y, x, w) })
+		assertZeroAllocs(t, "MatMulTransA "+label, func() { MatMulTransA(dw, x, dy) })
+		assertZeroAllocs(t, "AddMatMulTransA "+label, func() { AddMatMulTransA(dw, x, dy) })
+		assertZeroAllocs(t, "MatMulTransB "+label, func() { MatMulTransB(dx, dy, w) })
+	}
 }
 
 func TestIm2ColConvF32ZeroAllocs(t *testing.T) {

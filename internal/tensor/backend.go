@@ -100,37 +100,6 @@ func MatMulTransAF32(dst, a, b *F32) { CurrentBackend().MatMulTransAF32(dst, a, 
 // MatMulTransBF32 computes dst = a @ bᵀ on the process-pinned backend.
 func MatMulTransBF32(dst, a, b *F32) { CurrentBackend().MatMulTransBF32(dst, a, b) }
 
-// checkMatMulF32 mirrors checkMatMul for the float32 kernels: it validates
-// shapes, returns (M, K, N) under the transpose flags, and panics if dst
-// aliases an input (skipped for zero-length operands, which cannot alias).
-func checkMatMulF32(dst, a, b *F32, transA, transB bool) (m, k, n int) {
-	if dst.Rank() != 2 || a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMulF32 requires rank-2 operands")
-	}
-	if transA {
-		k, m = a.Dim(0), a.Dim(1)
-	} else {
-		m, k = a.Dim(0), a.Dim(1)
-	}
-	var kb int
-	if transB {
-		n, kb = b.Dim(0), b.Dim(1)
-	} else {
-		kb, n = b.Dim(0), b.Dim(1)
-	}
-	if kb != k {
-		panic(fmt.Sprintf("tensor: MatMulF32 inner dims %d vs %d", k, kb))
-	}
-	if dst.Dim(0) != m || dst.Dim(1) != n {
-		panic(fmt.Sprintf("tensor: MatMulF32 dst %v want [%d %d]", dst.shape, m, n))
-	}
-	if len(dst.Data) > 0 && len(a.Data) > 0 && len(b.Data) > 0 &&
-		(&dst.Data[0] == &a.Data[0] || &dst.Data[0] == &b.Data[0]) {
-		panic("tensor: MatMulF32 dst aliases an input")
-	}
-	return m, k, n
-}
-
 func init() {
 	RegisterBackend(naiveBackend{})
 	RegisterBackend(blockedBackend{})

@@ -1,6 +1,8 @@
 package tensor
 
-// Differential oracle for the float32 kernel backend registry.
+// Differential oracle for the GEMM kernels: the float32 backend registry and
+// the float64 entry points (MatMul, MatMulTransA, MatMulTransB and the
+// accumulate form), which are the other instantiation of the same code.
 //
 // Every registered backend is enumerated from the registry itself and checked
 // against independent flat-index float32 references over both the edge-shape
@@ -171,10 +173,11 @@ func forEachBackend(t *testing.T, fn func(t *testing.T, bk Backend, ulpTol int64
 	}
 }
 
-// oracleShapes returns the (m, k, n) triples every backend is checked on:
-// the full edge table plus seeded shapes crossing the packed kernel's micro-
-// and cache-panel boundaries (mr/nr remainders, multiple mc row panels,
-// multiple kc k-panels with partial-tile accumulation).
+// oracleShapes returns the (m, k, n) triples every kernel is checked on: the
+// full edge table plus shapes crossing the packed kernel's micro- and
+// cache-panel boundaries (mr/nr remainders, several mc row panels, several
+// kc k-panels with partial-tile accumulation, several nc column blocks) and
+// both sides of the small-M cutoff.
 func oracleShapes() [][3]int {
 	var shapes [][3]int
 	for _, m := range edgeDims {
@@ -185,10 +188,14 @@ func oracleShapes() [][3]int {
 		}
 	}
 	shapes = append(shapes,
-		[3]int{mcF32 + 1, 2*kcF32 + 3, nrF32 + 1},     // multi k-panel accumulate, row-panel + nr remainders
-		[3]int{2*mcF32 + mrF32 + 1, kcF32, 2 * nrF32}, // exact kc boundary, odd mr remainder
-		[3]int{mrF32 - 1, kcF32 + 1, nrF32 - 1},       // sub-microtile output
-		[3]int{97, 131, 89},                           // primes: nothing divides anything
+		[3]int{mc + 1, 2*kc + 3, nr + 1},        // multi k-panel accumulate, row-panel + nr remainders
+		[3]int{2*mc + mr + 1, kc, 2 * nr},       // exact kc boundary, odd mr remainder
+		[3]int{mr - 1, kc + 1, nr - 1},          // sub-microtile output
+		[3]int{97, 131, 89},                     // primes: nothing divides anything
+		[3]int{packMinM - 1, kc + 1, nc + 1},    // last M on the blocked kernel
+		[3]int{packMinM, kc + 1, nc + 1},        // first M on the packed kernel, second column block
+		[3]int{mc - 1, kc - 1, 2*nc - 1},        // just inside every panel
+		[3]int{packMinM + 1, 64, 4*nc + nr + 1}, // shallow k widens the column block: its boundary moves to kc*nc/k
 	)
 	return shapes
 }
@@ -244,7 +251,7 @@ func TestBackendOracleParallel(t *testing.T) {
 	defer func() { MaxProcs = saved }()
 	forEachBackend(t, func(t *testing.T, bk Backend, ulpTol int64) {
 		r := rng.New(33)
-		m, k, n := 2*mcF32+3, kcF32+5, 3*nrF32+1
+		m, k, n := 2*mc+3, kc+5, 3*nr+1
 		a, b := randF32(r, m, k), randF32(r, k, n)
 		dst := poisonedF32(m, n)
 		bk.MatMulF32(dst, a, b)
@@ -308,3 +315,173 @@ func TestRegisterBackendPanics(t *testing.T) {
 type emptyNameBackend struct{ naiveBackend }
 
 func (emptyNameBackend) Name() string { return "" }
+
+// f64Entry is one float64 GEMM entry point with its flat reference and the
+// operand layouts it expects.
+type f64Entry struct {
+	name string
+	fn   func(dst, a, b *Tensor)
+	ref  func(a, b *Tensor) *Tensor
+	op   gemmOp
+}
+
+var f64Entries = []f64Entry{
+	{"MatMul", MatMul, refMatMul, 0},
+	{"MatMulTransA", MatMulTransA, refMatMulTransA, opTransA},
+	{"MatMulTransB", MatMulTransB, refMatMulTransB, opTransB},
+	{"MatMulBlocked", MatMulBlocked, refMatMul, 0},
+}
+
+// operands draws a and b for op(A) (m x k) and op(B) (k x n) in the layouts
+// the entry point stores them in.
+func (e f64Entry) operands(r *rng.Stream, m, k, n int) (a, b *Tensor) {
+	a, b = randT(r, m, k), randT(r, k, n)
+	if e.op&opTransA != 0 {
+		a = randT(r, k, m)
+	}
+	if e.op&opTransB != 0 {
+		b = randT(r, n, k)
+	}
+	return a, b
+}
+
+// TestGemmF64Oracle holds the float64 entry points to the flat references
+// on every oracle shape, on a NaN-poisoned dst. The tolerance is fuzz_test's:
+// tiling only reassociates the k-sum, so the error grows with k alone.
+func TestGemmF64Oracle(t *testing.T) {
+	for _, e := range f64Entries {
+		r := rng.New(35)
+		for _, s := range oracleShapes() {
+			m, k, n := s[0], s[1], s[2]
+			a, b := e.operands(r, m, k, n)
+			dst := poisoned(m, n)
+			e.fn(dst, a, b)
+			expectClose(t, dst, e.ref(a, b), 1e-12*float64(k+1), e.name+" "+shapeLabel(m, k, n))
+		}
+	}
+}
+
+// TestGemmF64IndependentOfMaxProcs pins that the worker count only splits
+// row panels between goroutines: every dst element sums the same products
+// in the same order, so the result is bitwise the one-worker result.
+func TestGemmF64IndependentOfMaxProcs(t *testing.T) {
+	saved := MaxProcs
+	defer func() { MaxProcs = saved }()
+	for _, e := range f64Entries {
+		r := rng.New(36)
+		m, k, n := 3*mc+5, kc+7, nc+3
+		a, b := e.operands(r, m, k, n)
+		MaxProcs = 1
+		want := poisoned(m, n)
+		e.fn(want, a, b)
+		for _, procs := range []int{2, 3, 8} {
+			MaxProcs = procs
+			got := poisoned(m, n)
+			e.fn(got, a, b)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s MaxProcs=%d: element %d is %v, one worker gives %v",
+						e.name, procs, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGemmAccumulateForm pins dst += op(A)·op(B) against overwrite-then-add
+// for every transpose on both sides of the small-M cutoff, and the exported
+// AddMatMulTransA against MatMulTransA.
+func TestGemmAccumulateForm(t *testing.T) {
+	r := rng.New(37)
+	for _, m := range []int{packMinM - 1, packMinM, mc + 3} {
+		k, n := kc+9, nc+5
+		for _, e := range f64Entries {
+			a, b := e.operands(r, m, k, n)
+			start := randT(r, m, n)
+			want := New(m, n)
+			e.fn(want, a, b)
+			Add(want, want, start)
+			got := start.Clone()
+			gemm(&pools64, got.Data, a.Data, b.Data, m, k, n, e.op|opAcc)
+			expectClose(t, got, want, 1e-12*float64(k+1), "accumulate "+e.name+" "+shapeLabel(m, k, n))
+			if e.op == opTransA {
+				got = start.Clone()
+				AddMatMulTransA(got, a, b)
+				expectClose(t, got, want, 1e-12*float64(k+1), "AddMatMulTransA "+shapeLabel(m, k, n))
+			}
+		}
+	}
+}
+
+// TestGemmZeroTimesNonFinite pins which calls propagate 0·NaN and 0·Inf (see
+// blockedRange and README.md): A is all zeros and B holds one NaN and one
+// +Inf, so IEEE arithmetic makes every dst element they meet NaN, and the
+// axpy tile's zero skip leaves dst all zeros.
+func TestGemmZeroTimesNonFinite(t *testing.T) {
+	const k, n = 5, 6
+	blocked, _ := BackendByName("blocked")
+	packed, _ := BackendByName("packed")
+	f32 := func(fn func(dst, a, b *F32), tA, tB bool) func(m int) []float64 {
+		return func(m int) []float64 {
+			a, b, dst := NewF32(m, k), NewF32(k, n), poisonedF32(m, n)
+			if tA {
+				a = NewF32(k, m)
+			}
+			if tB {
+				b = NewF32(n, k)
+			}
+			b.Data[1], b.Data[len(b.Data)-2] = nanF32(), float32(math.Inf(1))
+			fn(dst, a, b)
+			out := make([]float64, len(dst.Data))
+			for i, v := range dst.Data {
+				out[i] = float64(v)
+			}
+			return out
+		}
+	}
+	f64 := func(e f64Entry) func(m int) []float64 {
+		return func(m int) []float64 {
+			a, b := New(m, k), New(k, n)
+			if e.op&opTransA != 0 {
+				a = New(k, m)
+			}
+			if e.op&opTransB != 0 {
+				b = New(n, k)
+			}
+			b.Data[1], b.Data[len(b.Data)-2] = math.NaN(), math.Inf(1)
+			dst := poisoned(m, n)
+			e.fn(dst, a, b)
+			return dst.Data
+		}
+	}
+	for _, c := range []struct {
+		label      string
+		run        func(m int) []float64
+		m          int
+		propagates bool
+	}{
+		{"MatMul below the cutoff", f64(f64Entries[0]), packMinM - 1, false},
+		{"MatMul at the cutoff", f64(f64Entries[0]), packMinM, true},
+		{"MatMulTransA below the cutoff", f64(f64Entries[1]), packMinM - 1, false},
+		{"MatMulTransA at the cutoff", f64(f64Entries[1]), packMinM, true},
+		{"MatMulTransB below the cutoff", f64(f64Entries[2]), packMinM - 1, true},
+		{"MatMulTransB at the cutoff", f64(f64Entries[2]), packMinM, true},
+		{"f32 blocked MatMulF32", f32(blocked.MatMulF32, false, false), packMinM, false},
+		{"f32 blocked MatMulTransAF32", f32(blocked.MatMulTransAF32, true, false), packMinM, false},
+		{"f32 blocked MatMulTransBF32", f32(blocked.MatMulTransBF32, false, true), packMinM, true},
+		{"f32 packed below the cutoff", f32(packed.MatMulF32, false, false), packMinM - 1, false},
+		{"f32 packed at the cutoff", f32(packed.MatMulF32, false, false), packMinM, true},
+	} {
+		nans := 0
+		for _, v := range c.run(c.m) {
+			if math.IsNaN(v) {
+				nans++
+			} else if v != 0 {
+				t.Fatalf("%s: dst holds %v, want 0 or NaN", c.label, v)
+			}
+		}
+		if c.propagates != (nans > 0) {
+			t.Errorf("%s: %d NaN in dst, propagates = %v", c.label, nans, c.propagates)
+		}
+	}
+}

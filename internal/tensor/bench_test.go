@@ -6,8 +6,8 @@ import (
 	"repro/internal/rng"
 )
 
-// Kernel micro-benchmarks backing the BENCH_kernels.json sweep: the f64
-// blocked baseline and each registered f32 backend at the headline shape.
+// Kernel micro-benchmarks backing the BENCH_kernels.json sweep: both f64
+// kernels and each registered f32 backend at the headline shape.
 func benchGemm(b *testing.B, size int, fn func()) {
 	b.Helper()
 	fn()                                      // warm scratch pools and page in operands
@@ -18,11 +18,14 @@ func benchGemm(b *testing.B, size int, fn func()) {
 	}
 }
 
-func BenchmarkGemmF64Blocked512(b *testing.B) {
+func benchF64At512(b *testing.B, matmul func(dst, a, b *Tensor)) {
 	r := rng.New(1)
 	a, bb, dst := randT(r, 512, 512), randT(r, 512, 512), New(512, 512)
-	benchGemm(b, 512, func() { MatMul(dst, a, bb) })
+	benchGemm(b, 512, func() { matmul(dst, a, bb) })
 }
+
+func BenchmarkGemmF64Blocked512(b *testing.B) { benchF64At512(b, MatMulBlocked) }
+func BenchmarkGemmF64Packed512(b *testing.B)  { benchF64At512(b, MatMul) }
 
 func benchBackend512(b *testing.B, name string) {
 	bk, err := BackendByName(name)

@@ -23,9 +23,9 @@ import (
 	"repro/internal/rng"
 )
 
-// fuzzF32MaxK bounds the reduction dimension so a second kcF32 panel (k >
+// fuzzMaxK bounds the reduction dimension (both precisions) so a second kc panel (k >
 // 256) stays reachable while one naive reference evaluation stays cheap.
-const fuzzF32MaxK = 2*kcF32 + 7
+const fuzzMaxK = 2*kc + 7
 
 func clampDimF32(v, limit int) int {
 	if v < 0 {
@@ -44,17 +44,17 @@ func addMatMulF32Seeds(f *testing.F) {
 	}
 	// Past one packed tile: micro-tile remainders, second row panel, second
 	// k panel — where pack/accumulate bookkeeping historically breaks.
-	f.Add(mrF32+1, kcF32+1, nrF32+1, uint64(2))
-	f.Add(mcF32+1, 2*kcF32+3, 2*nrF32+1, uint64(3))
-	f.Add(2*mcF32+1, kcF32, nrF32-1, uint64(4))
-	f.Add(1, fuzzF32MaxK-1, 1, uint64(5))
+	f.Add(mr+1, kc+1, nr+1, uint64(2))
+	f.Add(mc+1, 2*kc+3, 2*nr+1, uint64(3))
+	f.Add(2*mc+1, kc, nr-1, uint64(4))
+	f.Add(1, fuzzMaxK-1, 1, uint64(5))
 }
 
 func FuzzMatMulF32(f *testing.F) {
 	addMatMulF32Seeds(f)
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64) {
 		m = clampDimF32(m, fuzzMaxDim)
-		k = clampDimF32(k, fuzzF32MaxK)
+		k = clampDimF32(k, fuzzMaxK)
 		n = clampDimF32(n, fuzzMaxDim)
 		r := rng.New(seed)
 		a := randF32(r, m, k)

@@ -1,7 +1,8 @@
 package tensor
 
-// Fuzz targets comparing the blocked production kernels against the naive
-// flat-index references in ref_test.go. The fuzzer drives shapes and a data
+// Fuzz targets comparing the float64 GEMM entry points (blocked below the
+// small-M cutoff, packed from it) against the naive flat-index references in
+// ref_test.go. The fuzzer drives shapes and a data
 // seed; values come from the repo's deterministic rng so every crash
 // reproduces from its corpus entry alone.
 //
@@ -11,7 +12,8 @@ package tensor
 //
 // The seed corpus pins every combination fuzzing must not regress: dims of
 // 0, 1, blockM-1, blockM, blockM+1 — empty operands, singletons, and the
-// three sizes straddling the cache-tile boundary.
+// three sizes straddling the cache-tile boundary — plus shapes on both sides
+// of the small-M cutoff with k past one kc panel.
 
 import (
 	"math"
@@ -67,12 +69,18 @@ func addMatMulSeeds(f *testing.F) {
 		f.Add(d, blockK+1, 1, uint64(3))
 		f.Add(1, d, blockN+1, uint64(4))
 	}
+	// Both sides of the small-M cutoff, k past one kc panel, n past one
+	// micro-panel: the packed kernel's accumulate-across-panels path and the
+	// blocked kernel it hands small calls to.
+	f.Add(packMinM-1, kc+1, nr+1, uint64(5))
+	f.Add(packMinM, kc+1, nr+1, uint64(6))
+	f.Add(packMinM+mr+1, 2*kc+3, fuzzMaxDim-1, uint64(7))
 }
 
 func FuzzMatMul(f *testing.F) {
 	addMatMulSeeds(f)
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64) {
-		m, k, n = clampDim(m), clampDim(k), clampDim(n)
+		m, k, n = clampDim(m), clampDimF32(k, fuzzMaxK), clampDim(n)
 		r := rng.New(seed)
 		a := fuzzTensor(r, m, k)
 		b := fuzzTensor(r, k, n)
@@ -85,7 +93,7 @@ func FuzzMatMul(f *testing.F) {
 func FuzzMatMulTransA(f *testing.F) {
 	addMatMulSeeds(f)
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64) {
-		m, k, n = clampDim(m), clampDim(k), clampDim(n)
+		m, k, n = clampDim(m), clampDimF32(k, fuzzMaxK), clampDim(n)
 		r := rng.New(seed)
 		a := fuzzTensor(r, k, m) // stored transposed
 		b := fuzzTensor(r, k, n)
@@ -98,7 +106,7 @@ func FuzzMatMulTransA(f *testing.F) {
 func FuzzMatMulTransB(f *testing.F) {
 	addMatMulSeeds(f)
 	f.Fuzz(func(t *testing.T, m, k, n int, seed uint64) {
-		m, k, n = clampDim(m), clampDim(k), clampDim(n)
+		m, k, n = clampDim(m), clampDimF32(k, fuzzMaxK), clampDim(n)
 		r := rng.New(seed)
 		a := fuzzTensor(r, m, k)
 		b := fuzzTensor(r, n, k) // stored transposed

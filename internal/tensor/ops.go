@@ -113,10 +113,16 @@ func AddRowVector(dst, m, v *Tensor) {
 
 // SumRows sums matrix m (R x C) over rows into dst (length C).
 func SumRows(dst, m *Tensor) {
+	dst.Zero()
+	AddSumRows(dst, m)
+}
+
+// AddSumRows adds the row sum of matrix m (R x C) into dst (length C): dst
+// first, then the rows in order.
+func AddSumRows(dst, m *Tensor) {
 	if m.Rank() != 2 || dst.Len() != m.Dim(1) {
 		panic("tensor: SumRows shape mismatch")
 	}
-	dst.Zero()
 	r, c := m.Dim(0), m.Dim(1)
 	for i := 0; i < r; i++ {
 		row := m.Data[i*c : (i+1)*c]
@@ -218,11 +224,4 @@ func checkSame3(a, b, c *Tensor, op string) {
 	if len(a.Data) != len(b.Data) || len(b.Data) != len(c.Data) {
 		panic(fmt.Sprintf("tensor: %s size mismatch", op))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

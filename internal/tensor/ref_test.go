@@ -3,7 +3,7 @@ package tensor
 // Naive reference kernels and edge-shape contract tests.
 //
 // The references here are deliberately written in flat-slice index
-// arithmetic — independent of both the blocked production kernels and the
+// arithmetic — independent of both the production kernels (gemm.go) and the
 // At/Set-based naiveMatMul in tensor_test.go — so a bug in the shared
 // indexing helpers cannot cancel out of the comparison. The fuzz targets in
 // fuzz_test.go compare the production kernels against these on arbitrary
