@@ -543,10 +543,13 @@ type Server = serve.Server
 var NewServer = serve.New
 
 // Typed serving errors: load shedding and deadline misses are expected
-// outcomes under overload, not failures.
+// outcomes under overload, not failures; ErrBadModel is NewServer's and
+// Deploy's answer to a net that does not fit the server's input width (or a
+// candidate whose output width differs from the baseline's).
 var (
 	ErrOverloaded = serve.ErrOverloaded
 	ErrDeadline   = serve.ErrDeadline
+	ErrBadModel   = serve.ErrBadModel
 )
 
 // ServeLoadConfig describes a load-test profile (open or closed loop).

@@ -66,6 +66,7 @@ type denseF32 struct {
 
 // SetComputeF32 implements F32Computer.
 func (d *Dense) SetComputeF32(on bool) {
+	d.packed = nil
 	if on {
 		d.f32 = &denseF32{}
 	} else {

@@ -34,7 +34,13 @@ type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward propagates dout (N x outDim) and returns dL/dx.
 	Backward(dout *tensor.Tensor) *tensor.Tensor
-	// Params returns the trainable parameter tensors (may be empty).
+	// Params returns the trainable parameter tensors (may be empty). A
+	// layer may keep a copy of its weights laid out for inference between
+	// Forward(x, false) calls, and every call that can precede a weight
+	// write, Params included, drops it. So one rule for code that retains
+	// these pointers: after writing a parameter through a retained pointer,
+	// call Params() again before the next inference call. Race builds
+	// (`go test -race`) panic on an inference call that breaks it.
 	Params() []*tensor.Tensor
 	// Grads returns gradient tensors parallel to Params.
 	Grads() []*tensor.Tensor
@@ -50,6 +56,11 @@ type Dense struct {
 	dW, dB  *tensor.Tensor
 	x       *tensor.Tensor // cached input for backward
 	f32     *denseF32      // non-nil when the float32 compute path is on
+	// packed is W packed for small-batch inference: built by the first
+	// Forward(x, false) of 2..tensor.PackedMaxRows rows, reused by the
+	// next, shared with clones (it is immutable), and dropped by every call
+	// that can precede a write to W (see Layer.Params).
+	packed *tensor.PackedB
 }
 
 // NewDense creates a dense layer with He-normal weight initialisation.
@@ -80,7 +91,17 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return d.forwardF32(x, n)
 	}
 	y := tensor.New(n, d.Out)
-	tensor.MatMul(y, x.Reshape(n, d.In), d.W)
+	if train {
+		d.packed = nil
+	}
+	if !train && n >= 2 && n <= tensor.PackedMaxRows {
+		if d.packed == nil {
+			d.packed = tensor.PackB(d.W)
+		}
+		tensor.MatMulPacked(y, x.Reshape(n, d.In), d.W, d.packed)
+	} else {
+		tensor.MatMul(y, x.Reshape(n, d.In), d.W)
+	}
 	tensor.AddRowVector(y, y, d.B)
 	return y
 }
@@ -88,6 +109,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // Backward implements Layer.
 func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n := dout.Dim(0)
+	d.packed = nil
+	d.ensureGrads()
 	if d.f32 != nil {
 		return d.backwardF32(dout, n)
 	}
@@ -102,17 +125,35 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
+func (d *Dense) Params() []*tensor.Tensor {
+	// A pure read when there is nothing to drop: trainers call Params on a
+	// net other goroutines are cloning.
+	if d.packed != nil {
+		d.packed = nil
+	}
+	return []*tensor.Tensor{d.W, d.B}
+}
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
+func (d *Dense) Grads() []*tensor.Tensor {
+	d.ensureGrads()
+	return []*tensor.Tensor{d.dW, d.dB}
+}
+
+// ensureGrads allocates a clone's gradient accumulators when it first needs
+// them, so a clone that only ever runs inference (every serve replica, the
+// pool's master copies) does not carry a second weights' worth of zeros.
+func (d *Dense) ensureGrads() {
+	if d.dW == nil {
+		d.dW, d.dB = tensor.New(d.In, d.Out), tensor.New(d.Out)
+	}
+}
 
 // Clone implements Layer.
 func (d *Dense) Clone() Layer {
-	c := &Dense{In: d.In, Out: d.Out,
-		W: d.W.Clone(), B: d.B.Clone(),
-		dW: tensor.New(d.In, d.Out), dB: tensor.New(d.Out)}
+	c := &Dense{In: d.In, Out: d.Out, W: d.W.Clone(), B: d.B.Clone()}
 	c.SetComputeF32(d.f32 != nil) // same compute mode, fresh buffers
+	c.packed = d.packed
 	return c
 }
 

@@ -117,12 +117,12 @@ func TrainElastic(net *nn.Net, x, y *tensor.Tensor, cfg ElasticConfig) (*Elastic
 	cmds := make([]chan elasticCmd, p)
 	outs := make([]chan elasticOut, p)
 	var wg sync.WaitGroup
+	// Every clone is taken before worker 0 starts: it trains net itself.
+	replicas[0] = net
+	for w := 1; w < p; w++ {
+		replicas[w] = net.Clone()
+	}
 	for w := 0; w < p; w++ {
-		if w == 0 {
-			replicas[w] = net
-		} else {
-			replicas[w] = net.Clone()
-		}
 		cmds[w] = make(chan elasticCmd, 1)
 		outs[w] = make(chan elasticOut, 1)
 		wg.Add(1)

@@ -180,6 +180,14 @@ func (s *Server) Deploy(cand *nn.Net, cfg RolloutConfig) (*Rollout, error) {
 	if err != nil {
 		return nil, err
 	}
+	out, err := modelOutDim(cand, s.cfg.InDim)
+	if err != nil {
+		return nil, err
+	}
+	if out != s.outDim {
+		return nil, fmt.Errorf("%w: candidate output width %d, baseline %d", ErrBadModel, out, s.outDim)
+	}
+	master := s.pool.master(cand) // clone and pack before taking the locks
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -189,7 +197,7 @@ func (s *Server) Deploy(cand *nn.Net, cfg RolloutConfig) (*Rollout, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("serve: rollout already in flight (%s)", cur.State())
 	}
-	s.pool.installCandidate(cand)
+	s.pool.installCandidate(master)
 	ro.Deploy(s.sinceStart())
 	s.rollout.Store(ro)
 	s.startCtrlLocked()

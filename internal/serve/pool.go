@@ -34,7 +34,9 @@ type batch struct {
 // spawns into free slots and retires the highest live slot, so the control
 // loop grows and shrinks the fleet without restarting it. A rollout adds a
 // second net per replica (candNets) that candidate-version batches execute
-// against.
+// against. Replica clones own their weights and layer caches but share their
+// master's packed inference weights (see master), so the pool holds one
+// packed copy per model version however many replicas run.
 type pool struct {
 	s        *Server
 	capacity int
@@ -42,6 +44,7 @@ type pool struct {
 	cand     *nn.Net // master candidate weights (nil before any Deploy)
 	nets     []*nn.Net
 	candNets []*nn.Net
+	ins      []*tensor.Tensor // per replica: the MaxBatch x InDim input buffer execute reslices
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -79,9 +82,9 @@ func newPool(s *Server, net *nn.Net) *pool {
 	p := &pool{
 		s:        s,
 		capacity: capacity,
-		base:     net.Clone(),
 		nets:     make([]*nn.Net, capacity),
 		candNets: make([]*nn.Net, capacity),
+		ins:      make([]*tensor.Tensor, capacity),
 		queues:   make([][]*batch, capacity),
 		inflight: make([]int, capacity),
 		live:     make([]bool, capacity),
@@ -93,6 +96,7 @@ func newPool(s *Server, net *nn.Net) *pool {
 		ejected:  make([]bool, capacity),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	p.base = p.master(net)
 	start := s.cfg.Replicas
 	if s.cfg.Autoscale != nil {
 		if start < s.cfg.Autoscale.Min {
@@ -110,6 +114,16 @@ func newPool(s *Server, net *nn.Net) *pool {
 	return p
 }
 
+// master returns the pool's own copy of a model version. One inference batch
+// through it makes its layers pack their weights (nn.Dense keeps the packed
+// copy and Clone shares it), so the pack happens here, off the request path,
+// once per version. A MaxBatch of 1 builds none: 1-row batches never read it.
+func (p *pool) master(net *nn.Net) *nn.Net {
+	m := net.Clone()
+	m.Forward(tensor.New(min(2, p.s.cfg.MaxBatch), p.s.cfg.InDim), false)
+	return m
+}
+
 // spawnLocked brings slot r to life: fresh clones of the master weights,
 // reset health state, and a new replica goroutine. Caller holds p.mu.
 func (p *pool) spawnLocked(r int) {
@@ -120,6 +134,9 @@ func (p *pool) spawnLocked(r int) {
 	p.nets[r] = p.base.Clone()
 	if p.cand != nil {
 		p.candNets[r] = p.cand.Clone()
+	}
+	if p.ins[r] == nil {
+		p.ins[r] = tensor.New(p.s.cfg.MaxBatch, p.s.cfg.InDim)
 	}
 	p.ewma[r] = 0
 	p.nObs[r] = 0
@@ -214,12 +231,12 @@ func (p *pool) resize(target int) int {
 	return delta
 }
 
-// installCandidate stages candidate weights for a rollout: one clone per
-// live replica plus a master for replicas spawned later.
+// installCandidate stages candidate weights for a rollout: cand (from
+// master) for replicas spawned later, and one clone of it per live replica.
 func (p *pool) installCandidate(cand *nn.Net) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cand = cand.Clone()
+	p.cand = cand
 	for r := range p.candNets {
 		if p.live[r] {
 			p.candNets[r] = p.cand.Clone()
@@ -469,9 +486,9 @@ func (p *pool) execute(r int, b *batch) {
 	if alive[0].trace.Valid() {
 		sp.SetArg("trace", alive[0].trace.String())
 	}
-	in := tensor.New(len(alive), p.s.cfg.InDim)
+	in := p.ins[r].SliceRows(0, len(alive))
 	for i, req := range alive {
-		copy(in.Row(i).Data, req.x)
+		copy(in.Data[i*p.s.cfg.InDim:], req.x)
 	}
 	out := p.netFor(r, b.ver).Forward(in, false)
 	sp.End()

@@ -45,7 +45,27 @@ var (
 	ErrClosed = errors.New("serve: server closed")
 	// ErrBadInput reports a feature vector of the wrong dimensionality.
 	ErrBadInput = errors.New("serve: input has wrong dimension")
+	// ErrBadModel reports a net New or Deploy refused: its layers do not
+	// chain from Config.InDim, or a candidate's output width differs from
+	// the baseline's.
+	ErrBadModel = errors.New("serve: model does not fit the server")
 )
+
+// modelOutDim walks net's layers from inDim and returns the output width.
+// Layer.OutDim panics on a width it cannot take; here that is ErrBadModel,
+// found before a replica goroutine can hit it on its first batch.
+func modelOutDim(net *nn.Net, inDim int) (out int, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrBadModel, r)
+		}
+	}()
+	out = inDim
+	for _, l := range net.Layers {
+		out = l.OutDim(out)
+	}
+	return out, nil
+}
 
 // Config parameterises a Server. The zero value of every optional field is
 // replaced by the documented default.
@@ -246,8 +266,9 @@ type Server struct {
 	clock Clock
 	obs   *obs.Session
 
-	in   chan *request
-	pool *pool
+	in     chan *request
+	pool   *pool
+	outDim int // the baseline's output width; a candidate must match it
 
 	mu     sync.RWMutex // guards closed against concurrent sends on in
 	closed bool
@@ -349,8 +370,13 @@ func New(net *nn.Net, cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
+	outDim, err := modelOutDim(net, cfg.InDim)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		cfg:      cfg,
+		outDim:   outDim,
 		clock:    cfg.Clock,
 		obs:      cfg.Obs,
 		in:       make(chan *request, cfg.QueueCap),

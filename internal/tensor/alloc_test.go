@@ -21,7 +21,7 @@ import (
 // previous setting on cleanup.
 func pinSerial(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race detector makes sync.Pool drop entries; alloc pins only hold in normal builds")
 	}
 	saved := MaxProcs
@@ -88,6 +88,17 @@ func TestGemmF64ZeroAllocs(t *testing.T) {
 		assertZeroAllocs(t, "AddMatMulTransA "+label, func() { AddMatMulTransA(dw, x, dy) })
 		assertZeroAllocs(t, "MatMulTransB "+label, func() { MatMulTransB(dx, dy, w) })
 	}
+}
+
+// TestMatMulPackedZeroAllocs pins the serving shape: serve_saturate's first
+// layer at MaxBatch rows (16 x 1024 x 512) against a pre-packed B draws only
+// the pooled A block.
+func TestMatMulPackedZeroAllocs(t *testing.T) {
+	pinSerial(t)
+	r := rng.New(44)
+	x, w, y := randT(r, 16, 1024), randT(r, 1024, 512), New(16, 512)
+	p := PackB(w)
+	assertZeroAllocs(t, "MatMulPacked 16x1024x512", func() { MatMulPacked(y, x, w, p) })
 }
 
 func TestIm2ColConvF32ZeroAllocs(t *testing.T) {

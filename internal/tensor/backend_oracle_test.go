@@ -196,6 +196,9 @@ func oracleShapes() [][3]int {
 		[3]int{packMinM, kc + 1, nc + 1},        // first M on the packed kernel, second column block
 		[3]int{mc - 1, kc - 1, 2*nc - 1},        // just inside every panel
 		[3]int{packMinM + 1, 64, 4*nc + nr + 1}, // shallow k widens the column block: its boundary moves to kc*nc/k
+		[3]int{2, kc + 1, nc - 1},               // first M MatMulPacked keeps on the packed kernel: one microtile row
+		[3]int{3, kc + 1, nc + 1},               // one and a half microtile rows, second column block
+		[3]int{mc, 64, 4*nc + nr - 1},           // one full row panel, widened column block
 	)
 	return shapes
 }
@@ -330,7 +333,12 @@ var f64Entries = []f64Entry{
 	{"MatMulTransA", MatMulTransA, refMatMulTransA, opTransA},
 	{"MatMulTransB", MatMulTransB, refMatMulTransB, opTransB},
 	{"MatMulBlocked", MatMulBlocked, refMatMul, 0},
+	{"MatMulPacked", matMulPrepacked, refMatMul, 0},
 }
+
+// matMulPrepacked is MatMulPacked as an (dst, a, b) entry point: the pack is
+// part of what the oracle checks.
+func matMulPrepacked(dst, a, b *Tensor) { MatMulPacked(dst, a, b, PackB(b)) }
 
 // operands draws a and b for op(A) (m x k) and op(B) (k x n) in the layouts
 // the entry point stores them in.
@@ -402,7 +410,7 @@ func TestGemmAccumulateForm(t *testing.T) {
 			e.fn(want, a, b)
 			Add(want, want, start)
 			got := start.Clone()
-			gemm(&pools64, got.Data, a.Data, b.Data, m, k, n, e.op|opAcc)
+			gemm(&pools64, got.Data, a.Data, b.Data, nil, m, k, n, e.op|opAcc)
 			expectClose(t, got, want, 1e-12*float64(k+1), "accumulate "+e.name+" "+shapeLabel(m, k, n))
 			if e.op == opTransA {
 				got = start.Clone()
@@ -466,6 +474,8 @@ func TestGemmZeroTimesNonFinite(t *testing.T) {
 		{"MatMulTransA at the cutoff", f64(f64Entries[1]), packMinM, true},
 		{"MatMulTransB below the cutoff", f64(f64Entries[2]), packMinM - 1, true},
 		{"MatMulTransB at the cutoff", f64(f64Entries[2]), packMinM, true},
+		{"MatMulPacked, 1 row (blocked kernel)", f64(f64Entries[4]), 1, false},
+		{"MatMulPacked, 2 rows (packed kernel)", f64(f64Entries[4]), 2, true},
 		{"f32 blocked MatMulF32", f32(blocked.MatMulF32, false, false), packMinM, false},
 		{"f32 blocked MatMulTransAF32", f32(blocked.MatMulTransAF32, true, false), packMinM, false},
 		{"f32 blocked MatMulTransBF32", f32(blocked.MatMulTransBF32, false, true), packMinM, true},
@@ -484,4 +494,55 @@ func TestGemmZeroTimesNonFinite(t *testing.T) {
 			t.Errorf("%s: %d NaN in dst, propagates = %v", c.label, nans, c.propagates)
 		}
 	}
+}
+
+// TestMatMulPackedIsMatMulOnTheSameKernel pins that a pre-packed B changes
+// when the pack happens, not what is computed: where MatMul packs per call
+// (packMinM rows and up) and where both run the blocked kernel (1 row) the
+// two are bitwise equal, one worker or several.
+func TestMatMulPackedIsMatMulOnTheSameKernel(t *testing.T) {
+	saved := MaxProcs
+	defer func() { MaxProcs = saved }()
+	r := rng.New(38)
+	for _, m := range []int{1, packMinM, mc, 2*mc + 3} {
+		k, n := kc+7, 2*nc+3
+		a, b := randT(r, m, k), randT(r, k, n)
+		p := PackB(b)
+		for _, procs := range []int{1, 3} {
+			MaxProcs = procs
+			want, got := poisoned(m, n), poisoned(m, n)
+			MatMul(want, a, b)
+			MatMulPacked(got, a, b, p)
+			for i := range got.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("M=%d MaxProcs=%d: element %d is %v, MatMul gives %v", m, procs, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulPackedRejects pins the shape checks on the packed operand and,
+// in race builds, the stale-copy detector: b written after PackB panics on
+// the next call instead of multiplying by the old values.
+func TestMatMulPackedRejects(t *testing.T) {
+	r := rng.New(39)
+	a, b := randT(r, 4, 6), randT(r, 6, 5)
+	dst := New(4, 5)
+	func() {
+		defer expectPanic(t, "PackB of a rank-1 tensor")
+		PackB(New(6))
+	}()
+	func() {
+		defer expectPanic(t, "packed operand of another shape")
+		MatMulPacked(dst, a, b, PackB(randT(r, 5, 6)))
+	}()
+	p := PackB(b)
+	b.Data[7]++
+	if !RaceEnabled {
+		MatMulPacked(dst, a, b, p) // unchecked builds trust the caller
+		return
+	}
+	defer expectPanic(t, "b written after PackB, race build")
+	MatMulPacked(dst, a, b, p)
 }

@@ -63,7 +63,7 @@ func (naiveBackend) MatMulTransBF32(dst, a, b *F32) {
 // gemm32 validates a float32 call and runs it on the packed kernel.
 func gemm32(dst, a, b *F32, op gemmOp) {
 	m, k, n := checkMatMulF32(dst, a, b, op)
-	gemm(&pools32, dst.Data, a.Data, b.Data, m, k, n, op)
+	gemm(&pools32, dst.Data, a.Data, b.Data, nil, m, k, n, op)
 }
 
 func checkMatMulF32(dst, a, b *F32, op gemmOp) (m, k, n int) {

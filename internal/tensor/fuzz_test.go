@@ -1,7 +1,8 @@
 package tensor
 
 // Fuzz targets comparing the float64 GEMM entry points (blocked below the
-// small-M cutoff, packed from it) against the naive flat-index references in
+// small-M cutoff, packed from it; FuzzMatMul also runs MatMulPacked, packed
+// from 2 rows, on every input) against the naive flat-index references in
 // ref_test.go. The fuzzer drives shapes and a data
 // seed; values come from the repo's deterministic rng so every crash
 // reproduces from its corpus entry alone.
@@ -75,6 +76,11 @@ func addMatMulSeeds(f *testing.F) {
 	f.Add(packMinM-1, kc+1, nr+1, uint64(5))
 	f.Add(packMinM, kc+1, nr+1, uint64(6))
 	f.Add(packMinM+mr+1, 2*kc+3, fuzzMaxDim-1, uint64(7))
+	// MatMulPacked's own cutoff: the last M it hands to the blocked kernel,
+	// the first two it keeps (one microtile row, one and a half).
+	f.Add(1, kc+1, nc+1, uint64(8))
+	f.Add(2, kc+1, nc+1, uint64(9))
+	f.Add(3, kc+1, nc-1, uint64(10))
 }
 
 func FuzzMatMul(f *testing.F) {
@@ -86,7 +92,11 @@ func FuzzMatMul(f *testing.F) {
 		b := fuzzTensor(r, k, n)
 		dst := poisoned(m, n)
 		MatMul(dst, a, b)
-		fuzzCompare(t, dst, refMatMul(a, b), k)
+		want := refMatMul(a, b)
+		fuzzCompare(t, dst, want, k)
+		dst = poisoned(m, n)
+		MatMulPacked(dst, a, b, PackB(b))
+		fuzzCompare(t, dst, want, k)
 	})
 }
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -48,27 +49,30 @@ const (
 	nc = 128
 )
 
-// packMinM is the smallest M that takes the packed kernel. Packing B costs
-// the same whatever M is (about 0.7 ms for a 1024x512 float64 B), and with
-// few rows there is too little work to pay for it. GFLOP/s at M x 1024 x
-// 512, float64, one worker, dense operands, blocked against packed:
+// packMinM is the smallest M at which a call that brings an unpacked B takes
+// the packed kernel: packing B costs the same whatever M is (about 0.7 ms
+// for a 1024x512 float64 B), and with few rows there is too little work to
+// pay for it. A call that brings B already packed (MatMulPacked) has nothing
+// to pay and takes the packed kernel from 2 rows. GFLOP/s at M x 1024 x 512,
+// float64, one worker, dense operands:
 //
-//	M   blocked  packed
-//	1     2.98    0.99
-//	4     3.30    2.90
-//	6     3.36    3.52
-//	8     3.35    3.90
-//	16    3.41    4.65
-//	64    3.43    5.50
+//	M   blocked  packed per call  pre-packed
+//	1     2.82        0.96           2.91
+//	2     2.92        1.90           5.72
+//	4     2.96        2.89           5.85
+//	8     3.00        3.90           5.90
+//	16    3.04        4.70           5.94
+//	64    3.07        5.60           6.02
 //
 // (The blocked column moves by a tenth or more between builds, with where
 // the linker places its inner loop.) Dense operands cross near 6 rows, but
 // the blocked kernel also skips zero elements of A, which the packed one
 // cannot, and past a network's first layer A is post-ReLU activations, half
-// of them zero; 8 keeps every layer of a small-batch forward pass no slower
-// than it was. It is a property of
-// the call, not a setting: the serving path's batches of one to four rows
-// stay on the blocked kernel, training batches do not.
+// of them zero; 8 keeps every layer of a small-batch forward pass that packs
+// per call no slower than on the blocked kernel. The same skip is why one
+// row stays blocked even with B pre-packed: the 2x4 microkernel spends a
+// padded second row on it (0.36 ms) and a half-zero row costs the blocked
+// kernel 0.22. It is a property of the call, not a setting.
 const packMinM = 8
 
 // blockM/blockN/blockK are the cache tiles of the blocked kernel, sized so
@@ -143,34 +147,42 @@ func getPack[T elem](pool *sync.Pool, n int) *[]T {
 
 // gemm computes dst = op(A)·op(B), or dst += op(A)·op(B) under opAcc, for
 // already-validated shapes: op(A) is m x k, op(B) is k x n. The microkernel
-// epilogue adds into dst, so the overwrite form is "clear first". Calls
-// with fewer than packMinM rows run the blocked kernel.
-func gemm[T elem](pp *packPools, dst, a, b []T, m, k, n int, op gemmOp) {
+// epilogue adds into dst, so the overwrite form is "clear first". packed, if
+// not nil, is packB(b): the blocks the loop below would build, in its order.
+// Calls with fewer than packMinM rows run the blocked kernel unless B comes
+// packed, and then only 1-row calls do.
+func gemm[T elem](pp *packPools, dst, a, b, packed []T, m, k, n int, op gemmOp) {
 	if op&opAcc == 0 {
 		clear(dst)
 	}
 	if m == 0 || n == 0 || k == 0 {
 		return
 	}
-	if m < packMinM {
+	if m < packMinM && (packed == nil || m == 1) {
 		blockedRange(dst, a, b, 0, 1, m, k, n, op)
 		return
 	}
 	panels := (m + mc - 1) / mc
 	serial := op&opSerial != 0 || panels == 1 || nWorkers() <= 1
-	// A shallow k leaves room in the B block for more columns, and every
-	// column block fewer is one repack of A saved.
-	ncols := kc * nc / min(kc, k) / nr * nr
-	bbuf := getPack[T](&pp.b, min(kc, k)*roundUp(min(ncols, n), nr))
+	ncols := colBlock(k)
+	var bbuf *[]T
+	if packed == nil {
+		bbuf = getPack[T](&pp.b, min(kc, k)*roundUp(min(ncols, n), nr))
+	}
 	for j0 := 0; j0 < n; j0 += ncols {
 		nb := min(ncols, n-j0)
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
-			pb := (*bbuf)[:kb*roundUp(nb, nr)]
-			if op&opTransB != 0 {
-				pack(pb, b, nr, j0, nb, k0, kb, k, 1)
+			var pb []T
+			if packed != nil {
+				pb = packedBlock(packed, j0, nb, k0, kb, k)
 			} else {
-				pack(pb, b, nr, j0, nb, k0, kb, 1, n)
+				pb = (*bbuf)[:kb*roundUp(nb, nr)]
+				if op&opTransB != 0 {
+					pack(pb, b, nr, j0, nb, k0, kb, k, 1)
+				} else {
+					pack(pb, b, nr, j0, nb, k0, kb, 1, n)
+				}
 			}
 			if serial {
 				rowPanels(&pp.a, dst, a, pb, 0, panels, k0, kb, j0, nb, m, k, n, op&opTransA != 0)
@@ -179,7 +191,40 @@ func gemm[T elem](pp *packPools, dst, a, b []T, m, k, n int, op gemmOp) {
 			}
 		}
 	}
-	pp.b.Put(bbuf)
+	if bbuf != nil {
+		pp.b.Put(bbuf)
+	}
+}
+
+// colBlock is how many columns of B one packed block spans. A shallow k
+// leaves room in the block for more columns, and every column block fewer
+// is one repack of A saved.
+func colBlock(k int) int { return kc * nc / min(kc, k) / nr * nr }
+
+// packedBlock is the block of packB's output that holds B's columns
+// [j0,j0+nb) by rows [k0,k0+kb): column blocks before it are colBlock(k)
+// wide, a multiple of nr, so they hold k*j0 elements with no padding.
+func packedBlock[T elem](packed []T, j0, nb, k0, kb, k int) []T {
+	nbp := roundUp(nb, nr)
+	return packed[k*j0+k0*nbp:][:kb*nbp]
+}
+
+// packB packs all of a stored (K x N) B the way gemm packs it block by
+// block, into one slice of k*roundUp(n, nr) elements.
+func packB[T elem](b []T, k, n int) []T {
+	packed := make([]T, k*roundUp(n, nr))
+	if k == 0 {
+		return packed
+	}
+	ncols := colBlock(k)
+	for j0 := 0; j0 < n; j0 += ncols {
+		nb := min(ncols, n-j0)
+		for k0 := 0; k0 < k; k0 += kc {
+			kb := min(kc, k-k0)
+			pack(packedBlock(packed, j0, nb, k0, kb, k), b, nr, j0, nb, k0, kb, 1, n)
+		}
+	}
+	return packed
 }
 
 func roundUp(v, to int) int { return (v + to - 1) / to * to }
@@ -425,7 +470,51 @@ func MatMulTransB(dst, a, b *Tensor) { gemm64(dst, a, b, opTransB) }
 
 func gemm64(dst, a, b *Tensor, op gemmOp) {
 	m, k, n := checkGemm("MatMul", dst.shape, a.shape, b.shape, dst.Data, a.Data, b.Data, op)
-	gemm(&pools64, dst.Data, a.Data, b.Data, m, k, n, op)
+	gemm(&pools64, dst.Data, a.Data, b.Data, nil, m, k, n, op)
+}
+
+// PackedB is a (K x N) right operand packed once for MatMulPacked: the
+// nr-wide, kc-deep panels MatMul builds from B on every call. It is
+// immutable and holds no reference to the tensor it was packed from, so any
+// number of goroutines, each with its own equal-valued B, may share one.
+type PackedB struct {
+	k, n int
+	data []float64
+}
+
+// PackedMaxRows is the most rows of A for which keeping a PackedB pays: one
+// row panel. Past it the per-call pack of B is a few percent of the call
+// and the kept copy only costs its memory.
+const PackedMaxRows = mc
+
+// PackB packs b (K x N). The result stands for b's values at the time of
+// the call: after writing b, pack it again.
+func PackB(b *Tensor) *PackedB {
+	if b.Rank() != 2 {
+		panic("tensor: PackB requires a rank-2 operand")
+	}
+	return &PackedB{k: b.shape[0], n: b.shape[1], data: packB(b.Data, b.shape[0], b.shape[1])}
+}
+
+// MatMulPacked is MatMul(dst, a, b) given p = PackB(b): same contract and
+// bitwise the same result as MatMul on the same kernel, with no pack of B,
+// so the packed kernel pays from 2 rows instead of packMinM. A 1-row call
+// reads b on the blocked kernel (see packMinM). In race builds every call
+// re-packs b and panics if p no longer matches it, which is how the checked
+// builds catch a write to b that was not followed by PackB.
+func MatMulPacked(dst, a, b *Tensor, p *PackedB) {
+	m, k, n := checkGemm("MatMulPacked", dst.shape, a.shape, b.shape, dst.Data, a.Data, b.Data, 0)
+	if p.k != k || p.n != n {
+		panic(fmt.Sprintf("tensor: MatMulPacked packed operand is %d x %d, b is %d x %d", p.k, p.n, k, n))
+	}
+	if RaceEnabled {
+		for i, v := range packB(b.Data, k, n) {
+			if math.Float64bits(v) != math.Float64bits(p.data[i]) { // bits: a NaN weight is not a stale one
+				panic(fmt.Sprintf("tensor: MatMulPacked: b was written after PackB (packed element %d is %v, b now packs to %v)", i, p.data[i], v))
+			}
+		}
+	}
+	gemm(&pools64, dst.Data, a.Data, b.Data, p.data, m, k, n, 0)
 }
 
 // MatMulBlocked is MatMul on the blocked kernel whatever M is: the baseline
